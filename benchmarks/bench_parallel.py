@@ -1,64 +1,31 @@
-"""Serial vs thread vs process shard execution on a multi-app trace.
+"""Streaming shard updates: multi-app, kernel-bound and long-deployment.
 
-The scenario extends ``bench_sharded.py``'s busy five-application machine:
-clustering runs continuously while every application keeps writing, so
-each ``update()`` has several dirty shards — exactly the shape the
-pluggable execution layer (:mod:`repro.core.executors`) targets.  All
-three strategies consume the same generated trace (seeded, recorded in
-the output JSON): warm a :class:`ShardedPipeline` on 90% of the stream,
-then append the interleaved tail in slices, timing every ``update()``.
+Shards update serially in the calling thread (see *Why shards update
+serially* in ``docs/ARCHITECTURE.md``).  Three profiles:
 
-Two different numbers fall out, and they answer different questions:
+**The multi-app profile** extends ``bench_sharded.py``'s busy
+five-application machine: warm a :class:`ShardedPipeline` on 90% of a
+seeded trace, then append the interleaved tail in slices, timing every
+``update()`` (``serial_seconds``, informational).  The final clusters
+must equal the batch ``cluster_settings`` reference per application
+prefix, catch-all included (``matches_batch``).
 
-- ``thread_speedup`` / ``process_speedup`` — wall-clock ratio against the
-  serial executor.  On a stock (GIL) CPython build this profile's
-  clustering hot path is pure Python (its components sit below the
-  kernel-dispatch threshold), so the thread executor cannot beat serial
-  on wall clock no matter how many cores exist — a shard update shorter
-  than the interpreter's ~5 ms switch interval runs start-to-finish
-  inside one GIL slice, so thread-pool "concurrency" degenerates to
-  serial execution plus dispatch overhead (expect ~0.8–1.0x here,
-  honestly reported).  The process executor has true parallelism and,
-  with worker-affinity engine caching, ships only the unread journal
-  slice per steady-state update — but dispatch and pickling overhead
-  still dominate when a shard update is sub-millisecond, as on this
-  profile.  The benchmark records ``cpu_count`` (and the gates check
-  the interpreter) so CI compares like with like.
-- ``thread_parallel_speedup`` / ``process_parallel_speedup`` — the
-  overlap factor from ``UpdateStats.parallel_speedup``: total per-shard
-  busy seconds over the wall time of the shard pass.  Under the GIL this
-  too sits near 1.0 for sub-slice tasks (threads cannot even *start*
-  timing until they first hold the GIL); on a free-threaded build it
-  approaches the worker count and the ≥2x gate below arms itself.
-
-**The large-component profile** is the counterpoint, added with the
-numpy HAC kernel (:mod:`repro.core.hac_kernel`): a few applications
-whose settings form one dense several-hundred-key component each, so
-per-shard update cost is dominated by agglomeration *inside the kernel*
-— which releases the GIL.  There, thread-vs-serial becomes a real
-wall-clock win on stock CPython with ≥2 cores (``large_thread_speedup``,
-gated ≥1.5x in full mode on such hosts), the process executor's sticky
-slice hand-off must at least break even against serial
-(``large_process_speedup``, gated ≥1x in full mode on such hosts — this
-is where process mode actually pays), and the same profile measures the
-kernel-vs-Python ratio in live streaming context
-(``large_kernel_speedup``, the quick-mode regression headline).  A
-pure-Python reference run is timed alongside and all four cluster sets
-must be identical.
+**The large-component profile** is the numpy HAC kernel's home ground
+(:mod:`repro.core.hac_kernel`): a few applications whose settings form
+one dense several-hundred-key component each, so per-shard update cost
+is dominated by agglomeration.  The same stream runs once on the numpy
+kernel and once on the pure-Python reference path;
+``large_kernel_speedup`` (Python seconds over kernel seconds) is the
+quick-mode regression headline, and both runs must produce identical
+cluster sets.
 
 **The deployment profile** measures state growth instead of speed: one
 engine runs over several synthetic "weeks" of writes to a fixed key
-population, checkpointing after each week.  With matrix compaction the
+population, checkpointing after each.  With matrix compaction the
 checkpoint is O(live keys), so its size plateaus once the key/pair
 population saturates — ``checkpoint_bytes`` (the final week's size) is
 the regression headline, and ``deployment_checkpoint_flat`` asserts the
 plateau (last week within 5% of week two).
-
-Correctness is asserted unconditionally: all strategies must produce
-identical final cluster sets, equal to the batch ``cluster_settings``
-reference per application prefix (catch-all included) on the multi-app
-profile, and serial ≡ thread ≡ python-kernel on the large-component
-profile.
 
 Run as a script for CI/quick use::
 
@@ -79,11 +46,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core.executors import (
-    ProcessShardExecutor,
-    SerialExecutor,
-    ThreadShardExecutor,
-)
 from repro.core.hac_kernel import KERNEL_NUMPY, KERNEL_PYTHON
 from repro.core.pipeline import cluster_settings
 from repro.core.sharded import ShardedPipeline
@@ -111,9 +73,6 @@ TAIL_FRACTION = 0.10
 
 #: How many update() calls the tail is spread over.
 TAIL_SLICES = 20
-
-#: Pool width for the thread/process strategies (unless --workers).
-DEFAULT_WORKERS = 4
 
 #: Large-component profile: applications and per-app component size.
 LARGE_APPS = 3
@@ -153,30 +112,22 @@ def _timed(fn):
     return time.perf_counter() - start, result
 
 
-def _run_mode(executor, prefixes, base, tail, slice_size) -> dict:
+def _run_mode(prefixes, base, tail, slice_size) -> dict:
     """One full warm-then-tail pass; returns timings and final clusters."""
     store = TTKV()
-    pipeline = ShardedPipeline(store, shard_prefixes=prefixes, executor=executor)
+    pipeline = ShardedPipeline(store, shard_prefixes=prefixes)
     store.record_events(base)
     pipeline.update()  # warm: consume the 90% prefix
     seconds = 0.0
-    busy = 0.0
-    map_wall = 0.0
     updates = 0
     for start in range(0, len(tail), slice_size):
         store.record_events(tail[start:start + slice_size])
         elapsed, _ = _timed(pipeline.update)
         seconds += elapsed
-        stats = pipeline.last_stats
-        shard_busy = sum(stats.shard_timings.values())
-        busy += shard_busy
-        if stats.parallel_speedup > 0:
-            map_wall += shard_busy / stats.parallel_speedup
         updates += 1
     result = {
         "seconds": seconds,
         "updates": updates,
-        "parallel_speedup": busy / map_wall if map_wall else 1.0,
         "checkpoint_bytes": len(json.dumps(pipeline.to_state())),
         "key_sets": {
             shard_id: _key_sets(pipeline.cluster_set_for(shard_id))
@@ -227,35 +178,23 @@ def _large_trace(quick: bool) -> tuple[tuple[str, ...], list[tuple], list[list[t
     return prefixes, base, tails
 
 
-def _run_large_mode(executor, prefixes, base, tails, kernel) -> dict:
+def _run_large_mode(prefixes, base, tails, kernel) -> dict:
     """One warm-then-tail pass over the large-component trace."""
     store = TTKV()
     pipeline = ShardedPipeline(
-        store,
-        shard_prefixes=prefixes,
-        catch_all=False,
-        executor=executor,
-        kernel=kernel,
+        store, shard_prefixes=prefixes, catch_all=False, kernel=kernel
     )
     store.record_events(base)
     pipeline.update()  # warm: build every hot component once
     seconds = 0.0
-    busy = 0.0
-    map_wall = 0.0
     recomputed = 0
     for tail in tails:
         store.record_events(tail)
         elapsed, _ = _timed(pipeline.update)
         seconds += elapsed
-        stats = pipeline.last_stats
-        recomputed += stats.merges_recomputed
-        shard_busy = sum(stats.shard_timings.values())
-        busy += shard_busy
-        if stats.parallel_speedup > 0:
-            map_wall += shard_busy / stats.parallel_speedup
+        recomputed += pipeline.last_stats.merges_recomputed
     result = {
         "seconds": seconds,
-        "parallel_speedup": busy / map_wall if map_wall else 1.0,
         "merges_recomputed": recomputed,
         "key_sets": {
             shard_id: _key_sets(pipeline.cluster_set_for(shard_id))
@@ -266,56 +205,26 @@ def _run_large_mode(executor, prefixes, base, tails, kernel) -> dict:
     return result
 
 
-def run_large_profile(quick: bool, workers: int) -> dict:
-    """The kernel-bound counterpoint: serial vs thread vs process vs python."""
+def run_large_profile(quick: bool) -> dict:
+    """The kernel-bound profile: numpy kernel vs the Python reference."""
     prefixes, base, tails = _large_trace(quick)
-    serial_exec = SerialExecutor()
-    thread_exec = ThreadShardExecutor(min(workers, len(prefixes)))
-    process_exec = ProcessShardExecutor(min(workers, len(prefixes)))
-    try:
-        serial = _run_large_mode(serial_exec, prefixes, base, tails, KERNEL_NUMPY)
-        thread = _run_large_mode(thread_exec, prefixes, base, tails, KERNEL_NUMPY)
-        process = _run_large_mode(
-            process_exec, prefixes, base, tails, KERNEL_NUMPY
-        )
-        python = _run_large_mode(serial_exec, prefixes, base, tails, KERNEL_PYTHON)
-    finally:
-        thread_exec.close()
-        process_exec.close()
+    kernel = _run_large_mode(prefixes, base, tails, KERNEL_NUMPY)
+    python = _run_large_mode(prefixes, base, tails, KERNEL_PYTHON)
     mode = "quick" if quick else "full"
     return {
         "large_apps": len(prefixes),
         "large_keys_per_app": LARGE_KEYS[mode],
         "large_events": len(base) + sum(len(tail) for tail in tails),
         "large_tail_updates": len(tails),
-        "large_merges_recomputed": serial["merges_recomputed"],
-        "large_serial_seconds": serial["seconds"],
-        "large_thread_seconds": thread["seconds"],
-        "large_process_seconds": process["seconds"],
+        "large_merges_recomputed": kernel["merges_recomputed"],
+        "large_serial_seconds": kernel["seconds"],
         "large_python_seconds": python["seconds"],
-        "large_thread_speedup": (
-            serial["seconds"] / thread["seconds"]
-            if thread["seconds"]
-            else float("inf")
-        ),
-        "large_process_speedup": (
-            serial["seconds"] / process["seconds"]
-            if process["seconds"]
-            else float("inf")
-        ),
         "large_kernel_speedup": (
-            python["seconds"] / serial["seconds"]
-            if serial["seconds"]
+            python["seconds"] / kernel["seconds"]
+            if kernel["seconds"]
             else float("inf")
         ),
-        "large_thread_parallel_speedup": thread["parallel_speedup"],
-        "large_process_parallel_speedup": process["parallel_speedup"],
-        "large_executors_agree": (
-            serial["key_sets"]
-            == thread["key_sets"]
-            == process["key_sets"]
-            == python["key_sets"]
-        ),
+        "large_kernels_agree": kernel["key_sets"] == python["key_sets"],
     }
 
 
@@ -359,7 +268,7 @@ def run_deployment_profile(quick: bool) -> dict:
     }
 
 
-def run_benchmark(quick: bool = False, workers: int = DEFAULT_WORKERS) -> dict:
+def run_benchmark(quick: bool = False) -> dict:
     trace = generate_trace(_profile(quick))
     prefixes = tuple(trace.apps[name].key_prefix for name in APPS)
     events = trace.ttkv.write_events()
@@ -367,20 +276,7 @@ def run_benchmark(quick: bool = False, workers: int = DEFAULT_WORKERS) -> dict:
     base, tail = events[:split], events[split:]
     slice_size = max(1, -(-len(tail) // TAIL_SLICES))
 
-    serial_exec = SerialExecutor()
-    thread_exec = ThreadShardExecutor(workers)
-    process_exec = ProcessShardExecutor(workers)
-    try:
-        serial = _run_mode(serial_exec, prefixes, base, tail, slice_size)
-        thread = _run_mode(thread_exec, prefixes, base, tail, slice_size)
-        process = _run_mode(process_exec, prefixes, base, tail, slice_size)
-    finally:
-        thread_exec.close()
-        process_exec.close()
-
-    executors_agree = (
-        serial["key_sets"] == thread["key_sets"] == process["key_sets"]
-    )
+    serial = _run_mode(prefixes, base, tail, slice_size)
 
     # -- exact equality with the batch reference, per shard ------------------
     full_store = TTKV()
@@ -397,7 +293,7 @@ def run_benchmark(quick: bool = False, workers: int = DEFAULT_WORKERS) -> dict:
     if serial["key_sets"][CATCH_ALL] != _key_sets(cluster_settings(leftover)):
         matches_batch = False
 
-    large = run_large_profile(quick, workers)
+    large = run_large_profile(quick)
     deployment = run_deployment_profile(quick)
 
     return {
@@ -409,62 +305,31 @@ def run_benchmark(quick: bool = False, workers: int = DEFAULT_WORKERS) -> dict:
         "quick": quick,
         "cpu_count": os.cpu_count() or 1,
         "gil": getattr(sys, "_is_gil_enabled", lambda: True)(),
-        "workers": workers,
         **large,
         **deployment,
         "multiapp_checkpoint_bytes": serial["checkpoint_bytes"],
         "tail_updates": serial["updates"],
         "serial_seconds": serial["seconds"],
-        "thread_seconds": thread["seconds"],
-        "process_seconds": process["seconds"],
-        "thread_speedup": (
-            serial["seconds"] / thread["seconds"]
-            if thread["seconds"]
-            else float("inf")
-        ),
-        "process_speedup": (
-            serial["seconds"] / process["seconds"]
-            if process["seconds"]
-            else float("inf")
-        ),
-        "serial_parallel_speedup": serial["parallel_speedup"],
-        "thread_parallel_speedup": thread["parallel_speedup"],
-        "process_parallel_speedup": process["parallel_speedup"],
-        "executors_agree": executors_agree,
         "matches_batch": matches_batch,
     }
 
 
 def render(record: dict) -> str:
     return (
-        "serial vs thread vs process shard execution "
+        "multi-app profile "
         f"({record['events']} events, {record['apps']} apps, "
         f"{record['tail_events']} appended over {record['tail_updates']} "
-        f"updates; {record['workers']} workers, "
-        f"{record['cpu_count']} cpu(s)):\n"
-        f"  serial update total  : {record['serial_seconds'] * 1000:8.2f} ms\n"
-        f"  thread update total  : {record['thread_seconds'] * 1000:8.2f} ms "
-        f"({record['thread_speedup']:.2f}x wall, "
-        f"{record['thread_parallel_speedup']:.1f}x overlap)\n"
-        f"  process update total : {record['process_seconds'] * 1000:8.2f} ms "
-        f"({record['process_speedup']:.2f}x wall, "
-        f"{record['process_parallel_speedup']:.1f}x overlap)\n"
-        f"  executors agree      : {record['executors_agree']}; "
-        f"equal to batch per prefix: {record['matches_batch']}\n"
+        f"updates; {record['cpu_count']} cpu(s)):\n"
+        f"  update total         : {record['serial_seconds'] * 1000:8.2f} ms\n"
+        f"  equal to batch per prefix: {record['matches_batch']}\n"
         "large-component profile "
         f"({record['large_apps']} apps x {record['large_keys_per_app']} keys, "
         f"{record['large_tail_updates']} updates, "
         f"{record['large_merges_recomputed']} merges recomputed):\n"
-        f"  serial (numpy kernel): {record['large_serial_seconds'] * 1000:8.2f} ms\n"
-        f"  thread (numpy kernel): {record['large_thread_seconds'] * 1000:8.2f} ms "
-        f"({record['large_thread_speedup']:.2f}x wall, "
-        f"{record['large_thread_parallel_speedup']:.1f}x overlap)\n"
-        f"  process (numpy kernel): {record['large_process_seconds'] * 1000:7.2f} ms "
-        f"({record['large_process_speedup']:.2f}x wall, "
-        f"{record['large_process_parallel_speedup']:.1f}x overlap)\n"
-        f"  serial (python ref)  : {record['large_python_seconds'] * 1000:8.2f} ms "
+        f"  numpy kernel         : {record['large_serial_seconds'] * 1000:8.2f} ms\n"
+        f"  python reference     : {record['large_python_seconds'] * 1000:8.2f} ms "
         f"(kernel {record['large_kernel_speedup']:.1f}x)\n"
-        f"  cluster sets agree   : {record['large_executors_agree']}\n"
+        f"  cluster sets agree   : {record['large_kernels_agree']}\n"
         "deployment profile "
         f"({record['deployment_weeks']} weeks x "
         f"{record['deployment_events_per_week']} events):\n"
@@ -478,14 +343,12 @@ def render(record: dict) -> str:
 def _gate(record: dict, quick: bool) -> list[str]:
     """Human-readable failures; empty when the record passes its gates."""
     failures = []
-    if not record["executors_agree"]:
-        failures.append("executors disagree on the final cluster sets")
     if not record["matches_batch"]:
         failures.append("clusters diverged from the batch reference")
-    if not record["large_executors_agree"]:
+    if not record["large_kernels_agree"]:
         failures.append(
-            "large-component profile: serial/thread/process/python cluster "
-            "sets differ"
+            "large-component profile: numpy kernel and python reference "
+            "cluster sets differ"
         )
     if not record["deployment_checkpoint_flat"]:
         sizes = record["deployment_checkpoint_bytes"]
@@ -502,51 +365,10 @@ def _gate(record: dict, quick: bool) -> list[str]:
             "large-component profile is not kernel-bound: kernel speedup "
             f"{record['large_kernel_speedup']:.2f}x (< 3x)"
         )
-    # The >=2x thread gates over the *multi-app* profile are only
-    # attainable where threads can run the pure-Python shard updates
-    # concurrently: a free-threaded (no-GIL) interpreter on a multi-core
-    # host.  Everywhere else the numbers are recorded but physically
-    # capped near 1.0 — gating there would institutionalise a permanently
-    # red check.
-    gil = getattr(sys, "_is_gil_enabled", lambda: True)()
-    if not gil and record["cpu_count"] >= 2:
-        if record["thread_parallel_speedup"] < 2.0:
-            failures.append(
-                "thread executor overlapped less than 2x "
-                f"({record['thread_parallel_speedup']:.2f}x)"
-            )
-        if record["thread_speedup"] < 2.0:
-            failures.append(
-                "free-threaded build on a multi-core host but thread wall "
-                f"speedup is {record['thread_speedup']:.2f}x (< 2x)"
-            )
-    # The large-component gate arms on stock (GIL) builds too: the numpy
-    # kernel releases the GIL inside its reductions, so on any >=2-core
-    # host the thread executor must convert that into real wall-clock
-    # speedup.  A single-core host physically cannot overlap — recorded,
-    # not gated.
-    if record["cpu_count"] >= 2:
-        if record["large_thread_speedup"] < 1.5:
-            failures.append(
-                "large-component profile: thread wall speedup "
-                f"{record['large_thread_speedup']:.2f}x (< 1.5x) on a "
-                f"{record['cpu_count']}-cpu host"
-            )
-        # With worker-affinity slice hand-offs, process mode must at
-        # least break even against serial where true parallelism exists.
-        # A single-core host pays the process plumbing with nothing to
-        # overlap — recorded, not gated.
-        if record["large_process_speedup"] < 1.0:
-            failures.append(
-                "large-component profile: process wall speedup "
-                f"{record['large_process_speedup']:.2f}x (< 1x) on a "
-                f"{record['cpu_count']}-cpu host — the affinity fast "
-                "path is not paying"
-            )
     return failures
 
 
-def test_parallel_executors(benchmark, report):
+def test_streaming_profiles(benchmark, report):
     record = benchmark.pedantic(
         lambda: run_benchmark(quick=True), rounds=1, iterations=1
     )
@@ -554,8 +376,8 @@ def test_parallel_executors(benchmark, report):
     (Path(__file__).parent / "out" / "BENCH_parallel.json").write_text(
         json.dumps(record, indent=2) + "\n", encoding="utf-8"
     )
-    assert record["executors_agree"]
     assert record["matches_batch"]
+    assert record["large_kernels_agree"]
 
 
 def main(argv=None) -> int:
@@ -564,13 +386,9 @@ def main(argv=None) -> int:
         "--quick", action="store_true",
         help="small trace; skip the scale and speedup gates",
     )
-    parser.add_argument(
-        "--workers", type=int, default=DEFAULT_WORKERS,
-        help="pool width for the thread/process strategies",
-    )
     parser.add_argument("--out", type=Path, default=None, help="write the JSON record here")
     args = parser.parse_args(argv)
-    record = run_benchmark(quick=args.quick, workers=args.workers)
+    record = run_benchmark(quick=args.quick)
     print(render(record))
     if args.out is not None:
         args.out.parent.mkdir(parents=True, exist_ok=True)

@@ -12,6 +12,7 @@ the TTKV (registry paths, GConf paths, or ``<file>:<key>``).
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -507,3 +508,15 @@ class SimulatedApplication:
             else:  # pragma: no cover - free-function handlers
                 twin._actions[action] = handler
         return twin
+
+    def detached_copy(self) -> "SimulatedApplication":
+        """An independent deep copy that shares only the clock.
+
+        Store, schema, session and action table are all copied; no
+        logger is attached to the copy's store, so its writes are not
+        recorded and nothing done to it reaches this application.
+        """
+        twin = self.clone_sandboxed(clock=self.clock)
+        # the cloned store (and its file) is already the copy's own
+        keep = (self.clock, twin.store, twin.file)
+        return copy.deepcopy(twin, {id(obj): obj for obj in keep})

@@ -1,467 +1,52 @@
-"""Pluggable shard execution strategies for :class:`ShardedPipeline`.
+"""Compatibility shim for callers that still pass ``executor=``.
 
-Shard engines share no mutable state — each owns its journal cursor,
-extractor, correlation matrix and cluster cache — so the per-update walk
-over dirty shards is embarrassingly parallel.  This module provides the
-strategies behind one interface, ``map_shards(engines) ->
-list[ShardUpdate]``:
+Shard updates always run serially in the calling thread:
+:meth:`~repro.core.sharded.ShardedPipeline.update` walks the dirty
+shards itself, because paper-scale shard updates are too small to pay
+for a thread or process hand-off (measurements in
+``docs/ARCHITECTURE.md``).  The only executor name is ``"serial"``:
 
-- :class:`SerialExecutor` — update each shard in the calling thread, in
-  order.  The reference strategy, and the pipeline's default.
-- :class:`ThreadShardExecutor` — a ``concurrent.futures``
-  ``ThreadPoolExecutor``.  Engines are updated in place; the GIL bounds
-  the wall-clock win for the pure-Python clustering hot path, but shards
-  overlap (``UpdateStats.parallel_speedup``), and any future
-  GIL-releasing kernel (or a free-threaded interpreter) turns that
-  overlap into throughput with no API change.
-- :class:`ProcessShardExecutor` — worker processes with *engine
-  affinity*.  Each shard is routed to a sticky single-process pool slot
-  whose worker caches the restored engine between updates; steady-state
-  updates ship only the unread journal slice
-  (:meth:`~repro.core.sharded.ShardEngine.export_slice_task`) and get
-  back the worker's component clusters, so the per-update payload is
-  O(new events + changed clusters), not O(session state).  The full
-  checkpoint hand-off — :meth:`~repro.core.sharded.ShardEngine.
-  export_task` shipping ``to_state()``, :func:`run_shard_task`
-  rebuilding, updating and re-checkpointing in the worker,
-  :meth:`~repro.core.sharded.ShardEngine.adopt_update` merging the
-  result back — remains as the cold-start and invalidation path: it
-  runs when a worker does not hold the engine at the right
-  ``(affinity_key, state_epoch, cursor)`` view (first update, evicted
-  cache, restore, reorder into the consumed prefix, retune), and is
-  what makes every such transition exercise checkpoint/resume as a
-  real serialization boundary.  The per-component dendrogram cache
-  rides inside the checkpoint, and the sticky worker keeps it live
-  across slice updates, so workers splice dirty components
-  (:mod:`repro.core.dendro_repair`) instead of re-agglomerating them
-  wholesale on every hand-off.
-
-All three produce identical cluster sets — the property tests pin
-serial ≡ thread ≡ process ≡ batch ``cluster_settings`` — only timing
-and the ``rebuilt``/``reorders_absorbed`` bookkeeping may differ
-(process hand-off rebuilds where the in-process engine would absorb a
-small reorder in place).
-
-Example — a four-thread session over two applications::
-
-    >>> from repro.core.executors import ThreadShardExecutor
-    >>> from repro.core.sharded import ShardedPipeline
-    >>> from repro.ttkv.store import TTKV
-    >>> store = TTKV()
-    >>> pipeline = ShardedPipeline(
-    ...     store,
-    ...     shard_prefixes=("mail/", "editor/"),
-    ...     executor=ThreadShardExecutor(4),
-    ... )
-    >>> store.record_write("mail/signature", "plain", 10.0)
-    >>> store.record_write("mail/font", "mono", 10.0)
-    >>> store.record_write("editor/theme", "dark", 10.5)
-    >>> [c.sorted_keys() for c in pipeline.update()]
-    [['mail/font', 'mail/signature'], ['editor/theme']]
-
-    Per-shard wall times land in the session stats; the slowest shard
-    and the overlap factor come for free:
-
-    >>> stats = pipeline.last_stats
-    >>> sorted(stats.shard_timings) == sorted(pipeline.shard_ids)
+    >>> from repro.core.executors import SerialExecutor, make_executor
+    >>> executor = make_executor("serial")
+    >>> isinstance(executor, SerialExecutor)
     True
-    >>> stats.slowest_shard in pipeline.shard_ids
-    True
-    >>> stats.parallel_speedup > 0
-    True
-    >>> pipeline.close()
-
-The executor is caller-owned: close it (or use it as a context manager)
-when the pools should shut down; pipelines never close executors, so one
-pool can serve many sessions.
+    >>> executor.close()
+    >>> make_executor("thread")
+    Traceback (most recent call last):
+    ...
+    ValueError: unknown executor 'thread'; shards update serially, use 'serial'
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import os
-import threading
-import time
-from collections import OrderedDict
-from dataclasses import replace
-from typing import Sequence
 
-from repro.core.sharded import ShardEngine, ShardUpdate
-from repro.ttkv.columnar import BACKEND_LIST, make_journal
-from repro.ttkv.journal import decode_event_batch
-
-#: The executor names understood by :func:`make_executor` (and the
-#: ``--executor`` flag of ``python -m repro stream``).
-EXECUTOR_NAMES = ("serial", "thread", "process")
-
-
-def _default_workers() -> int:
-    return os.cpu_count() or 1
-
-
-def _checked_workers(workers: int | None) -> int:
-    if workers is None:
-        return _default_workers()
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    return workers
-
-
-class ShardExecutor:
-    """Strategy interface: run a batch of shard engine updates.
-
-    ``map_shards`` must return one :class:`ShardUpdate` per engine, in
-    input order, with each engine left holding its post-update state —
-    exactly as if ``engine.update()`` had been called serially.
-    """
-
-    #: Name the executor answers to in :func:`make_executor`.
-    name = "abstract"
-
-    def map_shards(self, engines: Sequence[ShardEngine]) -> list[ShardUpdate]:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release any pools.  Idempotent; a no-op for poolless strategies."""
-
-    def __enter__(self) -> "ShardExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class SerialExecutor(ShardExecutor):
-    """Update shards one after another in the calling thread."""
+class SerialExecutor:
+    """Marker for the only shard execution strategy: serial, in-thread."""
 
     name = "serial"
 
-    def map_shards(self, engines: Sequence[ShardEngine]) -> list[ShardUpdate]:
-        return [engine.update() for engine in engines]
-
-
-def _update_engine(engine: ShardEngine) -> ShardUpdate:
-    return engine.update()
-
-
-class ThreadShardExecutor(ShardExecutor):
-    """Update shards concurrently on a thread pool.
-
-    The pool is created lazily on first use, so constructing the
-    executor (e.g. in configuration code or a doctest) spawns nothing.
-    """
-
-    name = "thread"
-
-    def __init__(self, workers: int | None = None) -> None:
-        self.workers = _checked_workers(workers)
-        self._pool: concurrent.futures.ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
-
-    def _live_pool(self) -> concurrent.futures.ThreadPoolExecutor:
-        # A fleet driver shares one executor across machines whose
-        # updates run concurrently, so first use may race.
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = concurrent.futures.ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="shard-update",
-                )
-            return self._pool
-
-    def map_shards(self, engines: Sequence[ShardEngine]) -> list[ShardUpdate]:
-        engines = list(engines)
-        if not engines:
-            return []
-        return list(self._live_pool().map(_update_engine, engines))
-
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        """Nothing to release."""
 
 
-def _materialize_engine(task: dict) -> ShardEngine:
-    """Rebuild the checkpointed engine over the shipped journal slice."""
-    params = dict(task["params"])
-    journal = make_journal(params.pop("journal_backend", BACKEND_LIST))
-    for event in decode_event_batch(task["events"]):
-        journal.append_event(event)
-    engine = ShardEngine(journal, **params)
-    if task["state"] is not None:
-        engine.restore(task["state"])
-        if task["components"] is not None:
-            engine.install_components(task["components"])
-    return engine
-
-
-def run_shard_task(
-    task: dict,
-) -> tuple[ShardUpdate, dict, list[tuple[list[str], list[list[str]]]]]:
-    """Worker half of a full-state hand-off: rebuild, update, re-export.
-
-    ``task`` is a :meth:`~repro.core.sharded.ShardEngine.export_task`
-    payload.  The worker materialises the journal slice, restores the
-    checkpointed engine over it, runs one update, and returns the
-    :class:`ShardUpdate`, the engine's post-update checkpoint, and its
-    component clusters so the parent does not re-agglomerate.
-    ``ShardUpdate.seconds`` covers only the engine's own update — the
-    same quantity every other executor reports — while the journal
-    materialisation, restore and re-export land in
-    ``ShardUpdate.handoff_seconds``.  Runs identically in-process — the
-    serialization boundary is the pickling done by the pool, not
-    anything in here.
-    """
-    started = time.perf_counter()
-    engine = _materialize_engine(task)
-    result = engine.update()
-    components = engine.components_snapshot()
-    state = engine.to_state()
-    handoff = time.perf_counter() - started - result.seconds
-    return (
-        replace(result, handoff_seconds=max(handoff, 0.0)),
-        state,
-        components,
-    )
-
-
-#: Worker-side engine cache for :class:`ProcessShardExecutor` affinity:
-#: ``affinity_key -> (state_epoch, journal position, engine)``.  Lives in
-#: the worker process; bounded LRU so a long-lived pool serving many
-#: sessions cannot grow without limit.
-_WORKER_ENGINES: "OrderedDict[str, tuple[int, int, ShardEngine]]" = OrderedDict()
-_WORKER_CACHE_LIMIT = 32
-
-
-def _cache_engine(key: str, epoch: int, position: int, engine: ShardEngine) -> None:
-    _WORKER_ENGINES.pop(key, None)
-    _WORKER_ENGINES[key] = (epoch, position, engine)
-    while len(_WORKER_ENGINES) > _WORKER_CACHE_LIMIT:
-        _WORKER_ENGINES.popitem(last=False)
-
-
-def run_affinity_task(task: dict) -> dict:
-    """Worker entry point for :class:`ProcessShardExecutor`.
-
-    Dispatches on ``task["mode"]``:
-
-    - ``"slice"`` (:meth:`~repro.core.sharded.ShardEngine.
-      export_slice_task`): applies the unread journal slice to the engine
-      this worker cached earlier.  The cached engine must sit at exactly
-      the ``(state epoch, cursor position)`` view the parent exported
-      against; otherwise ``{"miss": True}`` is returned and the parent
-      falls back to a full task.  A hit returns only the
-      :class:`ShardUpdate` and the component clusters — no checkpoint
-      crosses the boundary in either direction.
-    - ``"full"`` (:meth:`~repro.core.sharded.ShardEngine.export_task`):
-      delegates to :func:`run_shard_task` semantics and additionally
-      caches the updated engine under the task's affinity tag, arming the
-      slice fast path for the next update.
-    """
-    affinity = task["affinity"]
-    key = affinity["key"]
-    started = time.perf_counter()
-    if task["mode"] == "slice":
-        cached = _WORKER_ENGINES.get(key)
-        if (
-            cached is None
-            or cached[0] != affinity["epoch"]
-            or cached[1] != task["base"]
-        ):
-            return {"miss": True}
-        engine = cached[2]
-        for event in decode_event_batch(task["events"]):
-            engine.journal.append_event(event)
-        result = engine.update()
-        components = engine.components_snapshot()
-        _cache_engine(key, affinity["epoch"], task["result_position"], engine)
-        handoff = time.perf_counter() - started - result.seconds
-        return {
-            "result": replace(result, handoff_seconds=max(handoff, 0.0)),
-            "components": components,
-        }
-    engine = _materialize_engine(task)
-    result = engine.update()
-    components = engine.components_snapshot()
-    state = engine.to_state()
-    _cache_engine(key, affinity["epoch"], task["result_position"], engine)
-    handoff = time.perf_counter() - started - result.seconds
-    return {
-        "result": replace(result, handoff_seconds=max(handoff, 0.0)),
-        "state": state,
-        "components": components,
-    }
-
-
-class ProcessShardExecutor(ShardExecutor):
-    """Update shards on worker processes with sticky engine affinity.
-
-    Each engine is pinned (round-robin) to one of ``workers``
-    single-process pool *slots*; the slot's worker caches the engine it
-    restored, keyed by ``(affinity_key, state_epoch, cursor)``.  When the
-    parent engine still sits exactly where the worker last left it, only
-    the unread journal slice is shipped (:meth:`~repro.core.sharded.
-    ShardEngine.export_slice_task`) and only the update result plus
-    changed component clusters come back — O(new events), true CPU
-    parallelism with none of the per-update O(session state) round-trip
-    that made process mode slower than serial.  Anything that moves the
-    parent engine without the worker seeing it — a restore, a reorder
-    into the consumed prefix, a retune, a serial update under a swapped
-    executor, a worker cache eviction — bumps the engine's
-    ``state_epoch`` or moves its cursor, the view check fails (worker
-    side it reports a miss), and the update falls back to the full
-    checkpoint hand-off (:func:`run_shard_task` semantics), which
-    re-arms the fast path.
-
-    On POSIX the slots use the ``forkserver`` start method: plain
-    ``fork`` is unsafe once the parent has live threads (a
-    :class:`ThreadShardExecutor` in the same program, an embedding
-    application's worker threads — a lock held mid-fork deadlocks the
-    child), while forkserver forks from a clean single-threaded server
-    process.  Workers re-import ``repro``; the parent's ``sys.path`` is
-    propagated, so scripts that bootstrap their import path keep working.
-    Elsewhere the default spawn context applies.
-    """
-
-    name = "process"
-
-    def __init__(self, workers: int | None = None) -> None:
-        self.workers = _checked_workers(workers)
-        self._slots: list[concurrent.futures.ProcessPoolExecutor | None] = (
-            [None] * self.workers
+def make_executor(name: str) -> SerialExecutor:
+    """The executor called ``name``; only ``"serial"`` exists."""
+    if name != SerialExecutor.name:
+        raise ValueError(
+            f"unknown executor {name!r}; shards update serially, use 'serial'"
         )
-        self._slot_of: dict[str, int] = {}
-        #: (state_epoch, journal position) each slot's worker holds per
-        #: affinity key — the parent-side half of the view check.
-        self._views: dict[str, tuple[int, int]] = {}
-
-    def _slot_pool(self, slot: int) -> concurrent.futures.ProcessPoolExecutor:
-        pool = self._slots[slot]
-        if pool is None:
-            import multiprocessing
-
-            kwargs = {}
-            try:
-                kwargs["mp_context"] = multiprocessing.get_context("forkserver")
-            except ValueError:  # pragma: no cover - non-POSIX platforms
-                pass
-            pool = concurrent.futures.ProcessPoolExecutor(max_workers=1, **kwargs)
-            self._slots[slot] = pool
-        return pool
-
-    def _export(self, engine: ShardEngine) -> dict:
-        view = self._views.get(engine.affinity_key)
-        if (
-            view is not None
-            and view == (engine.state_epoch, engine.cursor_position)
-            and engine.can_export_slice()
-        ):
-            return engine.export_slice_task()
-        return engine.export_task()
-
-    def _reset_slot(self, slot: int) -> None:
-        """Discard a slot's (broken) pool and its workers' cached views."""
-        pool = self._slots[slot]
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-            self._slots[slot] = None
-        for key, key_slot in self._slot_of.items():
-            if key_slot == slot:
-                self._views.pop(key, None)
-
-    def _recovering_result(
-        self, engine: ShardEngine, slot: int, task: dict, future
-    ) -> tuple[dict, dict]:
-        """``(task, outcome)`` — surviving one worker death per engine.
-
-        A killed worker process breaks its single-process pool: every
-        pending/future submit raises ``BrokenProcessPool``.  The slot's
-        pool is recreated and the engine's *full* task (the fresh worker
-        holds no cached engine, so a slice would only miss) resubmitted
-        once; a second death on the retry propagates.
-        """
-        from concurrent.futures.process import BrokenProcessPool
-
-        try:
-            return task, future.result()
-        except BrokenProcessPool:
-            self._reset_slot(slot)
-            task = engine.export_task()
-            outcome = (
-                self._slot_pool(slot).submit(run_affinity_task, task).result()
-            )
-            return task, outcome
-
-    def map_shards(self, engines: Sequence[ShardEngine]) -> list[ShardUpdate]:
-        from concurrent.futures.process import BrokenProcessPool
-
-        engines = list(engines)
-        if not engines:
-            return []
-        submissions = []
-        for engine in engines:
-            slot = self._slot_of.setdefault(
-                engine.affinity_key, len(self._slot_of) % self.workers
-            )
-            task = self._export(engine)
-            try:
-                future = self._slot_pool(slot).submit(run_affinity_task, task)
-            except BrokenProcessPool:
-                # the slot's worker died since the last update: recreate
-                # the pool and hand the fresh worker the full checkpoint
-                self._reset_slot(slot)
-                task = engine.export_task()
-                future = self._slot_pool(slot).submit(run_affinity_task, task)
-            submissions.append((engine, slot, task, future))
-        results = []
-        for engine, slot, task, future in submissions:
-            task, outcome = self._recovering_result(engine, slot, task, future)
-            if outcome.get("miss"):
-                # the worker no longer holds the engine at the exported
-                # view (evicted, or a restarted pool): re-arm it with the
-                # full checkpoint hand-off on the same slot
-                task = engine.export_task()
-                outcome = (
-                    self._slot_pool(slot).submit(run_affinity_task, task).result()
-                )
-            self._views[engine.affinity_key] = (
-                task["affinity"]["epoch"],
-                task["result_position"],
-            )
-            if task["mode"] == "slice":
-                results.append(
-                    engine.adopt_slice(task, outcome["result"], outcome["components"])
-                )
-            else:
-                results.append(
-                    engine.adopt_update(
-                        task,
-                        outcome["result"],
-                        outcome["state"],
-                        outcome["components"],
-                    )
-                )
-        return results
-
-    def close(self) -> None:
-        for slot, pool in enumerate(self._slots):
-            if pool is not None:
-                pool.shutdown(wait=True)
-                self._slots[slot] = None
-        self._slot_of.clear()
-        self._views.clear()
+    return SerialExecutor()
 
 
-def make_executor(name: str, workers: int | None = None) -> ShardExecutor:
-    """Executor by name — ``serial``, ``thread`` or ``process``.
+def check_executor(executor: object) -> None:
+    """Accept ``None`` or a :class:`SerialExecutor`; refuse anything else.
 
-    ``workers`` defaults to ``os.cpu_count()`` for the pooled strategies
-    and is ignored by ``serial``.
+    ``executor=`` survives on :class:`~repro.core.sharded.ShardedPipeline`
+    and :class:`~repro.fleet.pipeline.FleetPipeline` only so existing
+    callers keep working; the value is checked and then ignored.
     """
-    if name == "serial":
-        return SerialExecutor()
-    if name == "thread":
-        return ThreadShardExecutor(workers)
-    if name == "process":
-        return ProcessShardExecutor(workers)
-    raise ValueError(f"unknown executor {name!r}; options: {EXECUTOR_NAMES}")
+    if executor is not None and not isinstance(executor, SerialExecutor):
+        raise TypeError(
+            "executor must be None or a SerialExecutor (shards update "
+            f"serially), got {type(executor).__name__}"
+        )

@@ -12,8 +12,8 @@
    keys so the error persists;
 4. optionally add spurious wrong-value writes after the error (the user's
    failed fix attempts, Fig. 2b);
-5. sync the application's live store to the trace's final state so the
-   symptom actually shows.
+5. sync a private copy of the application's live store to the trace's
+   final state so the symptom actually shows.
 """
 
 from __future__ import annotations
@@ -163,7 +163,9 @@ def prepare_scenario(
             f"case #{case.case_id} defines only "
             f"{len(case.spurious_options)} spurious options"
         )
-    app = trace.apps[case.app_name]
+    # The scenario owns its application: syncing the trace's shared app
+    # would rewrite every scenario already prepared on this trace.
+    app = trace.apps[case.app_name].detached_copy()
     end_time = trace.end_time
     injection_time = quantize_timestamp(
         max(1.0, end_time - days_before_end * SECONDS_PER_DAY), precision

@@ -6,16 +6,14 @@ The synchronous :meth:`FleetPipeline.update` sweeps the fleet once in the
 calling thread; the asyncio :meth:`FleetPipeline.drive` runs the full
 ingest loop — feed each machine's next slice of events (the logging I/O),
 update every machine whose journal advanced (CPU work, pushed onto the
-event loop's default executor so queries stay responsive; the machines'
-own shard updates still go through whatever
-:class:`~repro.core.executors.ShardExecutor` the fleet was built with),
-merge the changed machines' evidence, and repeat.
+event loop's default executor so queries stay responsive), merge the
+changed machines' evidence, and repeat.
 
 Determinism: rounds are barriers.  Every machine's feed for a round is
 appended before any update starts, all updates finish before the merge,
 and the merge runs on the event-loop thread — so the per-round event
-counts, cluster models and progress lines are byte-identical whatever
-the executor strategy (the CLI smoke test asserts exactly this).
+counts, cluster models and progress lines are byte-identical however
+the loop schedules the machines' updates.
 
 Backpressure: ``max_lag`` bounds how many journaled-but-unconsumed
 events a machine may accumulate.  The feed stage stops pulling from a
@@ -55,6 +53,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.cluster_model import ClusterSet
 from repro.core.clustering import LINKAGE_COMPLETE
+from repro.core.executors import SerialExecutor, check_executor
 from repro.core.hac_kernel import KERNEL_AUTO
 from repro.core.pipeline import DEFAULT_CORRELATION_THRESHOLD, DEFAULT_WINDOW
 from repro.core.sharded import ShardedPipeline
@@ -116,14 +115,12 @@ class FleetPipeline:
 
     Parameters mirror the per-machine pipelines (``window``,
     ``correlation_threshold``, ``linkage``, ``kernel``,
-    ``journal_backend``) and apply to every machine.  ``executor`` is the
-    shard execution strategy shared by all machines — caller-owned, like
-    the sharded pipeline's; only strategies safe for concurrent
-    ``map_shards`` calls belong here (serial constructs per-call state,
-    the thread pool is locked; the process executor's worker-affinity
-    cache is per-session state and must not be shared across machines
-    updating concurrently).  ``max_lag`` is the per-machine backpressure
-    bound used by :meth:`drive` (``None``: unbounded).
+    ``journal_backend``) and apply to every machine.  Each machine's
+    shards update serially; ``executor`` is accepted only for
+    compatibility (``None`` or a
+    :class:`~repro.core.executors.SerialExecutor`, checked and ignored).
+    ``max_lag`` is the per-machine backpressure bound used by
+    :meth:`drive` (``None``: unbounded).
     """
 
     def __init__(
@@ -134,9 +131,10 @@ class FleetPipeline:
         linkage: str = LINKAGE_COMPLETE,
         kernel: str = KERNEL_AUTO,
         journal_backend: str = BACKEND_AUTO,
-        executor=None,
+        executor: SerialExecutor | None = None,
         max_lag: int | None = None,
     ) -> None:
+        check_executor(executor)
         if max_lag is not None and max_lag < 1:
             raise ValueError(f"max_lag must be at least 1, got {max_lag}")
         self.window = window
@@ -144,7 +142,6 @@ class FleetPipeline:
         self.linkage = linkage
         self.kernel = kernel
         self.journal_backend = journal_backend
-        self.executor = executor
         self.max_lag = max_lag
         self._machines: dict[str, ShardedPipeline] = {}
         self._merge = FleetCorrelationMerge(
@@ -204,7 +201,6 @@ class FleetPipeline:
             linkage=self.linkage,
             kernel=self.kernel,
             journal_backend=self.journal_backend,
-            executor=self.executor,
         )
         self._machines[machine_id] = pipeline
         self._refresh_status(machine_id)
@@ -223,7 +219,7 @@ class FleetPipeline:
             self._merge.retire(machine_id)
 
     def close(self) -> None:
-        """Detach every machine (the caller owns the executor)."""
+        """Detach every machine."""
         for pipeline in self._machines.values():
             pipeline.close()
 
@@ -404,9 +400,7 @@ class FleetPipeline:
         state = resilience.load_machine_state(machine_id)
         if state is not None:
             try:
-                fresh = ShardedPipeline.from_state(
-                    old.store, state, executor=self.executor
-                )
+                fresh = ShardedPipeline.from_state(old.store, state)
             except ValueError:
                 fresh = None  # damaged/incompatible: rebuild from scratch
         if fresh is None:
@@ -419,7 +413,6 @@ class FleetPipeline:
                 key_filter=old.key_filter,
                 grouping=old.grouping,
                 catch_all=old.catch_all,
-                executor=self.executor,
                 repair_mode=old.repair_mode,
                 kernel=old.kernel,
                 journal_backend=old.journal_backend,
@@ -630,10 +623,10 @@ class FleetPipeline:
                 or machine_id in self._forced_sweeps
             ]
             # CPU stage: machine updates run concurrently on the loop's
-            # executor (their shard updates go through self.executor);
-            # the barrier before the merge keeps rounds deterministic.
-            # Restarts may swap a machine's pipeline object mid-round, so
-            # everything downstream re-reads self._machines by id.
+            # executor; the barrier before the merge keeps rounds
+            # deterministic.  Restarts may swap a machine's pipeline
+            # object mid-round, so everything downstream re-reads
+            # self._machines by id.
             if resilience is None:
                 await asyncio.gather(
                     *(
@@ -759,7 +752,6 @@ class FleetPipeline:
         path: str | Path,
         stores: Mapping[str, TTKV],
         *,
-        executor=None,
         kernel: str | None = None,
         journal_backend: str | None = None,
         max_lag: int | None = None,
@@ -768,8 +760,7 @@ class FleetPipeline:
 
         ``stores`` must provide a store for every machine named in the
         manifest, each holding (at least) the journal that machine's
-        checkpoint had consumed.  ``executor`` is runtime configuration,
-        like the sharded pipeline's; ``kernel``/``journal_backend``
+        checkpoint had consumed.  ``kernel``/``journal_backend``
         override the checkpointed values when given; ``max_lag``
         overrides the checkpointed backpressure bound.
 
@@ -834,14 +825,12 @@ class FleetPipeline:
             journal_backend=(
                 journal_backend if journal_backend is not None else state_backend
             ),
-            executor=executor,
             max_lag=max_lag if max_lag is not None else state_max_lag,
         )
         for machine_id in machine_ids:
             fleet._machines[machine_id] = ShardedPipeline.from_state(
                 stores[machine_id],
                 machine_states[machine_id],
-                executor=executor,
                 kernel=kernel,
                 journal_backend=journal_backend,
             )

@@ -5,8 +5,7 @@ any prefix of any modification stream — including out-of-order arrivals
 that force reorder absorption or rebuilds — a pipeline running on columnar
 journal segments produces exactly the clusters of the list-journal pipeline
 and of the batch :func:`~repro.core.pipeline.cluster_settings`.  Checkpoints
-migrate forward (v2 states carry no backend and resume under ``auto``), and
-the interned batch payloads survive the process-executor hand-off.
+migrate forward (v2 states carry no backend and resume under ``auto``).
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.executors import make_executor
 from repro.core.pipeline import cluster_settings
 from repro.core.sharded import STATE_VERSION, ShardedPipeline
 from repro.core.windowing import (
@@ -242,38 +240,6 @@ class TestCheckpointMigration:
             )
             assert _key_sets(resumed.update()) == clusters
             resumed.close()
-
-
-# -- process-executor hand-off ------------------------------------------------
-
-@needs_numpy
-def test_columnar_slices_survive_process_handoff():
-    """Interned batch payloads cross the process boundary intact."""
-    rng = random.Random(11)
-    events = sorted(
-        (
-            (float(rng.randrange(0, 3000)), f"app_{rng.randrange(2)}/k{rng.randrange(5)}",
-             rng.choice([0, 1, "on", DELETED]))
-            for _ in range(160)
-        ),
-        key=lambda e: e[0],
-    )
-    executor = make_executor("process", 2)
-    store = TTKV(journal_backend="columnar")
-    pipeline = ShardedPipeline(
-        store,
-        shard_prefixes=("app_0/", "app_1/"),
-        executor=executor,
-        journal_backend="columnar",
-    )
-    try:
-        for start in range(0, len(events), 40):
-            store.record_events(events[start:start + 40])
-            result = _key_sets(pipeline.update())
-            assert result == _key_sets(cluster_settings(store))
-    finally:
-        pipeline.close()
-        executor.close()
 
 
 # -- windowing fast path ------------------------------------------------------

@@ -11,7 +11,9 @@ The contracts under test:
 - the merged cluster set is exactly the per-shard sets re-sorted;
 - a session checkpointed with ``to_state()`` and resumed with
   ``from_state()`` on a re-opened store yields a byte-identical cluster
-  set while consuming **zero** already-read journal events.
+  set while consuming **zero** already-read journal events;
+- per-shard wall times are reported for exactly the shards that ran
+  (``UpdateStats.shard_timings``/``slowest_shard``).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.executors import SerialExecutor, make_executor
 from repro.core.incremental import IncrementalPipeline
 from repro.core.pipeline import cluster_settings
 from repro.core.sharded import ShardedPipeline
@@ -275,6 +278,61 @@ class TestShardedBehaviour:
             _batch_for_shard(store, "b/")
         )
         assert ("a/x",) in _key_sets(result)
+
+
+class TestTimingStats:
+    def _pipeline(self):
+        store = TTKV()
+        return store, ShardedPipeline(store, shard_prefixes=PREFIXES)
+
+    def test_timings_cover_exactly_the_updated_shards(self):
+        store, pipeline = self._pipeline()
+        store.record_write("app_a/k0", 1, 10.0)
+        pipeline.update()
+        first = pipeline.last_stats
+        # first update touches every shard (all cursors fresh)
+        assert sorted(first.shard_timings) == sorted(pipeline.shard_ids)
+        assert all(seconds >= 0.0 for seconds in first.shard_timings.values())
+        assert first.slowest_shard in first.shard_timings
+
+        store.record_write("app_b/k0", 1, 20.0)
+        pipeline.update()
+        second = pipeline.last_stats
+        assert list(second.shard_timings) == ["app_b/"]
+        assert second.slowest_shard == "app_b/"
+        pipeline.close()
+
+    def test_no_op_update_reports_no_timings(self):
+        store, pipeline = self._pipeline()
+        store.record_write("app_a/k0", 1, 10.0)
+        pipeline.update()
+        pipeline.update()  # nothing advanced
+        stats = pipeline.last_stats
+        assert stats.shard_timings == {}
+        assert stats.slowest_shard is None
+        pipeline.close()
+
+
+class TestExecutorFactory:
+    """Shards always update serially; ``"serial"`` is the only name left."""
+
+    def test_names(self):
+        executor = make_executor("serial")
+        assert isinstance(executor, SerialExecutor)
+        assert executor.name == "serial"
+        executor.close()
+
+    def test_unknown_name_rejected(self):
+        for name in ("thread", "process", "fleet"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                make_executor(name)
+
+    def test_pipeline_accepts_only_the_serial_executor(self):
+        store = TTKV()
+        for executor in (None, SerialExecutor()):
+            ShardedPipeline(store, PREFIXES, executor=executor).close()
+        with pytest.raises(TypeError, match="SerialExecutor"):
+            ShardedPipeline(store, PREFIXES, executor="thread")
 
 
 class TestCheckpointValidation:

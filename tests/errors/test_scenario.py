@@ -6,6 +6,7 @@ from repro.common.format import SECONDS_PER_DAY
 from repro.errors.cases import case_by_id
 from repro.errors.scenario import prepare_scenario
 from repro.exceptions import InjectionError
+from repro.workload.tracegen import generate_trace
 from repro.ttkv.store import DELETED
 
 
@@ -85,3 +86,25 @@ class TestPrepareScenario:
         before = len(chrome_trace.ttkv.write_events())
         prepare_scenario(chrome_trace, case_by_id(14))
         assert len(chrome_trace.ttkv.write_events()) == before
+
+    def test_scenarios_on_one_trace_do_not_share_an_app(
+        self, tiny_profile_factory
+    ):
+        """Preparing a second case on a trace leaves the first untouched."""
+        trace = generate_trace(tiny_profile_factory("Evolution Mail", days=10))
+        shared = trace.apps["Evolution Mail"]
+        pristine = shared.store.as_dict()
+        first = prepare_scenario(trace, case_by_id(8))
+        first_config = first.app.store.as_dict()
+        second = prepare_scenario(trace, case_by_id(9))
+        assert first.app is not second.app
+        assert first.app.schema is not second.app.schema
+        assert first.app.store.as_dict() == first_config
+        assert shared.store.as_dict() == pristine
+        mark_seen = second.app.canonical_key("mail/mark_seen")
+        assert second.app.value("mail/mark_seen") is False
+        assert first.app.value("mail/mark_seen") == (
+            first.ttkv.current_value(mark_seen)
+            if mark_seen in first.ttkv
+            else shared.value("mail/mark_seen")
+        )
